@@ -32,20 +32,17 @@ namespace perfbench {
 /// One traffic mix. Sizes are at scale 1; --scale multiplies populations
 /// and prefixes (the benchmark's own tests run at a tiny scale).
 struct WorkloadSpec {
-  std::string name;
-  std::string domain;                ///< "auction" or "stock"
+  std::string name;                  ///< an auction-domain traffic mix
   std::size_t subscriptions = 0;     ///< never-churned population
   std::size_t subscriber_conns = 1;  ///< connections holding that population
-  std::size_t flash_every = 0;       ///< every Nth tree from flash_subscriptions
-  std::size_t publishers = 1;
-  bool churn = false;                 ///< a churn connection runs beside publishes
+  bool churn = false;                 ///< the churn connection runs beside publishes
   std::size_t churn_population = 0;   ///< churn connection's steady population
   std::size_t prune_every_ops = 0;    ///< churn ops between prune_to_fraction calls
   bool pruning = false;
   bool durable = false;
   std::size_t setup_reps = 1;      ///< set-ups per run; setup_s is their median
   std::size_t event_pool = 0;      ///< pre-generated events, cycled
-  std::size_t oracle_every = 1;    ///< every Nth publish per publisher is checked
+  std::size_t oracle_every = 1;    ///< every Nth publish is checked
   std::size_t trace_events = 0;    ///< traced replay prefix
   std::size_t side_trees = 0;      ///< trees in the traced store/prune side pair
 };
@@ -67,7 +64,7 @@ struct RunOptions {
 /// of seed s is 8s + k (see make_inputs).
 struct Inputs {
   std::unique_ptr<dbsp::WorkloadDomain> domain;
-  std::vector<std::unique_ptr<dbsp::Node>> stable;    ///< streams 1 and 5, never churned
+  std::vector<std::unique_ptr<dbsp::Node>> stable;    ///< stream 1, never churned
   std::vector<std::unique_ptr<dbsp::Node>> arrivals;  ///< stream 4, churn arrivals
   std::vector<dbsp::Event> events;                    ///< stream 2
   std::vector<dbsp::Event> training;                  ///< stream 3
@@ -87,8 +84,8 @@ struct Sut {
   std::string store_dir;
   std::unique_ptr<dbsp::net::NetServer> server;
   std::vector<dbsp::net::DbspClient> subscribers;
-  std::vector<dbsp::net::DbspClient> publishers;
-  std::optional<dbsp::net::DbspClient> churner;
+  std::optional<dbsp::net::DbspClient> publisher;
+  std::optional<dbsp::net::DbspClient> churner;  ///< churn (concurrent or quiet)
   std::vector<std::uint64_t> stable_ids;  ///< server id of inputs.stable[j]
   std::deque<std::uint64_t> churn_ids;    ///< churner's population, oldest first
   std::size_t next_arrival = 0;           ///< next inputs.arrivals index
@@ -102,9 +99,11 @@ struct Sut {
 };
 
 /// Server start + connects + train + initial subscribes + initial prune.
+/// `trace_ring` replaces the flight recorder's ring size when nonzero.
 /// Throws std::runtime_error on any failure (set-up must not fail).
 [[nodiscard]] std::unique_ptr<Sut> set_up(const WorkloadSpec& spec, const Inputs& inputs,
-                                          const std::string& store_dir);
+                                          const std::string& store_dir,
+                                          std::size_t trace_ring = 0);
 
 /// Failures counted into `failed`; every name is reported.
 struct Failures {
@@ -115,10 +114,11 @@ struct Failures {
   std::uint64_t stale_notifications = 0;
   std::uint64_t oracle_mismatches = 0;
   std::uint64_t layer_mismatches = 0;  ///< traced layers disagreeing on a match count
+  std::uint64_t trace_gaps = 0;        ///< traced publishes the server's ring lost
 
   [[nodiscard]] std::uint64_t total() const {
     return verb_errors + protocol_errors + slow_consumer_disconnects + lost_notifications +
-           stale_notifications + oracle_mismatches + layer_mismatches;
+           stale_notifications + oracle_mismatches + layer_mismatches + trace_gaps;
   }
   [[nodiscard]] std::map<std::string, std::uint64_t> named() const;
 };
@@ -126,28 +126,31 @@ struct Failures {
 /// Tracks every publish in flight so receivers can key a notification to
 /// its publish (the trace id the publisher chose) and the end of the run
 /// can prove that each publish's receipts equal its reply's matched count.
-/// Fixed-size rings: memory does not depend on the system's throughput.
+/// A fixed-size ring: memory does not depend on the system's throughput.
 class DeliveryBook {
  public:
   static constexpr std::size_t kRing = 1u << 16;
 
-  explicit DeliveryBook(std::size_t publishers);
+  DeliveryBook();
 
-  /// Publisher `p` starts publish `k` at `send_ns`; returns its trace id.
-  /// Reusing a ring slot first settles its previous publish.
-  std::uint64_t begin(std::size_t p, std::uint64_t k, std::uint64_t send_ns);
-  /// The reply of publish (p, k) reported `matched` notifications.
-  void complete(std::size_t p, std::uint64_t k, std::uint64_t matched);
+  /// Publish `k` starts at `send_ns`; returns its trace id. Reusing a ring
+  /// slot first settles its previous publish.
+  std::uint64_t begin(std::uint64_t k, std::uint64_t send_ns);
+  /// The reply of publish `k` reported `matched` notifications.
+  void complete(std::uint64_t k, std::uint64_t matched);
 
   /// A receiver got a notification carrying `trace_id` at `now`. Returns
   /// the publish-to-receipt latency, or nullopt (a stale/unknown id).
   std::optional<std::uint64_t> receive(std::uint64_t trace_id, std::uint64_t now);
 
+  /// Waits (until `deadline_ns`) for publish `k` to be fully received.
+  void await(std::uint64_t k, std::uint64_t deadline_ns) const;
+
   /// Waits (until `deadline_ns`) for every publish to be fully received,
   /// then settles all of them.
   void finish(std::uint64_t deadline_ns);
 
-  [[nodiscard]] static std::uint64_t trace_id(std::size_t p, std::uint64_t k);
+  [[nodiscard]] static std::uint64_t trace_id(std::uint64_t k);
   [[nodiscard]] static std::uint64_t publish_index(std::uint64_t trace_id);
 
   std::atomic<std::uint64_t> lost{0};   ///< publishes settled with receipts != reply
@@ -160,10 +163,11 @@ class DeliveryBook {
     std::atomic<std::int64_t> matched{-1};
     std::atomic<std::int64_t> received{0};
   };
+  static bool received_all(const Slot& slot);
   void settle(Slot& slot, std::uint64_t deadline_ns);
 
-  std::vector<std::unique_ptr<Slot[]>> rings_;
-  std::vector<std::uint64_t> published_;
+  std::unique_ptr<Slot[]> ring_;
+  std::uint64_t published_ = 0;
 };
 
 /// One receiving connection's tallies.
@@ -195,6 +199,7 @@ struct RunResult {
   std::uint64_t attempted = 0;
   Failures failures;
   std::map<std::string, double> load;  ///< what was offered (connections, sizes)
+  std::size_t trace_ring = 0;          ///< the system's flight-recorder ring size
 };
 
 [[nodiscard]] RunResult run_e2e(const WorkloadSpec& spec, const Inputs& inputs,

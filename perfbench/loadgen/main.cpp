@@ -92,7 +92,8 @@ std::string to_json(const RunOptions& options, const WorkloadSpec& spec, const R
     << ",\"metrics\":" << (pso.metrics ? "true" : "false")
     << ",\"tracing\":" << (pso.tracing ? "true" : "false")
     << ",\"trace_sample_every\":" << tro.sample_every
-    << ",\"trace_ring\":" << tro.capacity
+    << ",\"every_publish_sampled\":" << (options.trace ? "true" : "false")
+    << ",\"trace_ring\":" << r.trace_ring
     << ",\"max_write_queue_bytes\":" << nso.max_write_queue_bytes
     << ",\"max_frame_bytes\":" << nso.max_frame_bytes << ",\"cleared_env\":[";
   for (std::size_t i = 0; i < cleared.size(); ++i) {

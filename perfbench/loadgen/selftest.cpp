@@ -130,12 +130,12 @@ void test_oracle() {
 }
 
 void test_delivery_book() {
-  DeliveryBook book(2);
-  const std::uint64_t id = book.begin(1, 5, 100);
+  DeliveryBook book;
+  const std::uint64_t id = book.begin(5, 100);
   expect(DeliveryBook::publish_index(id) == 5, "trace id carries the publish index");
   expect(book.receive(id, 350) == std::optional<std::uint64_t>(250), "receipt latency");
-  expect(!book.receive(DeliveryBook::trace_id(0, 9), 400).has_value(), "unknown publish");
-  book.complete(1, 5, 2);  // two notifications promised, one received
+  expect(!book.receive(DeliveryBook::trace_id(9), 400).has_value(), "unknown publish");
+  book.complete(5, 2);  // two notifications promised, one received
   book.finish(now_ns());
   expect(book.lost.load() == 1 && book.stale.load() == 1, "lost and stale notifications");
 }

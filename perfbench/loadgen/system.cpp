@@ -16,8 +16,6 @@ namespace perfbench {
 namespace {
 
 constexpr std::uint64_t kTraceTag = 1ULL << 62;
-constexpr int kPublisherShift = 40;
-constexpr std::uint64_t kIndexMask = (1ULL << kPublisherShift) - 1;
 
 [[noreturn]] void fail(const std::string& what, const dbsp::Status& status) {
   throw std::runtime_error(what + ": " + status.to_string());
@@ -38,10 +36,8 @@ const std::vector<WorkloadSpec>& workloads() {
 
     WorkloadSpec match;
     match.name = "auction-100k-match";
-    match.domain = "auction";
     match.subscriptions = 100000;
     match.subscriber_conns = 2;
-    match.publishers = 1;
     match.setup_reps = 3;
     match.event_pool = 1024;
     match.oracle_every = 8;
@@ -49,26 +45,10 @@ const std::vector<WorkloadSpec>& workloads() {
     match.side_trees = 1024;
     v.push_back(match);
 
-    WorkloadSpec fanout;
-    fanout.name = "stock-1k-fanout";
-    fanout.domain = "stock";
-    fanout.subscriptions = 1000;
-    fanout.subscriber_conns = 2;
-    fanout.flash_every = 4;
-    fanout.publishers = 2;
-    fanout.setup_reps = 5;
-    fanout.event_pool = 16384;
-    fanout.oracle_every = 512;
-    fanout.trace_events = 16384;
-    fanout.side_trees = 1000;
-    v.push_back(fanout);
-
     WorkloadSpec churn;
     churn.name = "auction-10k-churn-pruned";
-    churn.domain = "auction";
     churn.subscriptions = 9000;
     churn.subscriber_conns = 1;
-    churn.publishers = 1;
     churn.churn = true;
     churn.churn_population = 1000;
     churn.prune_every_ops = 64;
@@ -113,18 +93,13 @@ Inputs make_inputs(const WorkloadSpec& spec, std::uint64_t seed) {
   // draw different subscriptions and events from one distribution, and the
   // work per event moves far less with the seed than re-seeding the world.
   Inputs in;
-  in.domain = spec.domain == "auction" ? dbsp::make_auction_workload()
-                                       : dbsp::make_stock_workload();
+  in.domain = dbsp::make_auction_workload();
   // Stream k of seed s is 8s + k, following the WorkloadDomain convention:
-  // 1 subscriptions, 2 events, 3 training, 4 churn arrivals, 5 flash arrivals.
+  // 1 subscriptions, 2 events, 3 training, 4 churn arrivals.
   const auto stream = [seed](std::uint64_t k) { return 8 * seed + k; };
   auto subs = in.domain->subscriptions(stream(1));
-  auto flash = in.domain->flash_subscriptions(stream(5));
   in.stable.reserve(spec.subscriptions);
-  for (std::size_t j = 0; j < spec.subscriptions; ++j) {
-    const bool hot = spec.flash_every != 0 && j % spec.flash_every == spec.flash_every - 1;
-    in.stable.push_back(hot ? flash->next() : subs->next());
-  }
+  for (std::size_t j = 0; j < spec.subscriptions; ++j) in.stable.push_back(subs->next());
   auto arrivals = in.domain->subscriptions(stream(4));
   const std::size_t n_arrivals = spec.churn_population + 2048;
   in.arrivals.reserve(n_arrivals);
@@ -152,7 +127,7 @@ Sut::~Sut() {
   if (server) server->stop(/*drain=*/false);
   server.reset();
   churner.reset();
-  publishers.clear();
+  publisher.reset();
   subscribers.clear();
   if (!store_dir.empty()) {
     std::error_code ec;
@@ -167,10 +142,11 @@ dbsp::PubSub& Sut::pubsub() const {
 }
 
 std::unique_ptr<Sut> set_up(const WorkloadSpec& spec, const Inputs& inputs,
-                            const std::string& store_dir) {
+                            const std::string& store_dir, std::size_t trace_ring) {
   auto owned = std::make_unique<Sut>();
   Sut& sut = *owned;
-  const dbsp::PubSubOptions options = daemon_pubsub_options(spec.pruning);
+  dbsp::PubSubOptions options = daemon_pubsub_options(spec.pruning);
+  if (trace_ring != 0) options.trace.capacity = trace_ring;
   std::optional<dbsp::PubSub> pubsub;
   if (spec.durable) {
     sut.store_dir = store_dir;
@@ -194,8 +170,8 @@ std::unique_ptr<Sut> set_up(const WorkloadSpec& spec, const Inputs& inputs,
     return std::move(client).value();
   };
   for (std::size_t c = 0; c < spec.subscriber_conns; ++c) sut.subscribers.push_back(connect());
-  for (std::size_t p = 0; p < spec.publishers; ++p) sut.publishers.push_back(connect());
-  if (spec.churn) sut.churner.emplace(connect());
+  sut.publisher.emplace(connect());
+  sut.churner.emplace(connect());
 
   if (spec.pruning) {
     const dbsp::Status trained = sut.pubsub().train(inputs.training);
@@ -251,62 +227,54 @@ std::map<std::string, std::uint64_t> Failures::named() const {
           {"lost_notifications", lost_notifications},
           {"stale_notifications", stale_notifications},
           {"oracle_mismatches", oracle_mismatches},
-          {"layer_mismatches", layer_mismatches}};
+          {"layer_mismatches", layer_mismatches},
+          {"trace_gaps", trace_gaps}};
 }
 
-DeliveryBook::DeliveryBook(std::size_t publishers) : published_(publishers, 0) {
-  for (std::size_t p = 0; p < publishers; ++p) {
-    rings_.push_back(std::make_unique<Slot[]>(kRing));
-  }
-}
+DeliveryBook::DeliveryBook() : ring_(std::make_unique<Slot[]>(kRing)) {}
 
-std::uint64_t DeliveryBook::trace_id(std::size_t p, std::uint64_t k) {
-  return kTraceTag | (static_cast<std::uint64_t>(p) << kPublisherShift) | k;
-}
+std::uint64_t DeliveryBook::trace_id(std::uint64_t k) { return kTraceTag | k; }
 
 std::uint64_t DeliveryBook::publish_index(std::uint64_t trace_id) {
-  return trace_id & kIndexMask;
+  return trace_id & ~kTraceTag;
+}
+
+bool DeliveryBook::received_all(const Slot& slot) {
+  const std::int64_t matched = slot.matched.load(std::memory_order_acquire);
+  return matched >= 0 && slot.received.load(std::memory_order_acquire) >= matched;
 }
 
 void DeliveryBook::settle(Slot& slot, std::uint64_t deadline_ns) {
   if (slot.seq.load(std::memory_order_acquire) == ~0ULL) return;
-  std::int64_t matched = slot.matched.load(std::memory_order_acquire);
-  while ((matched < 0 || slot.received.load(std::memory_order_acquire) < matched) &&
-         now_ns() < deadline_ns) {
+  while (!received_all(slot) && now_ns() < deadline_ns) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
-    matched = slot.matched.load(std::memory_order_acquire);
   }
-  if (slot.received.load(std::memory_order_acquire) != matched) {
+  if (slot.received.load(std::memory_order_acquire) !=
+      slot.matched.load(std::memory_order_acquire)) {
     lost.fetch_add(1, std::memory_order_relaxed);
   }
   slot.seq.store(~0ULL, std::memory_order_release);
 }
 
-std::uint64_t DeliveryBook::begin(std::size_t p, std::uint64_t k, std::uint64_t send_ns) {
-  Slot& slot = rings_[p][k % kRing];
+std::uint64_t DeliveryBook::begin(std::uint64_t k, std::uint64_t send_ns) {
+  Slot& slot = ring_[k % kRing];
   if (k >= kRing) settle(slot, now_ns() + 2'000'000'000ULL);
   slot.matched.store(-1, std::memory_order_relaxed);
   slot.received.store(0, std::memory_order_relaxed);
   slot.send_ns.store(send_ns, std::memory_order_relaxed);
   slot.seq.store(k, std::memory_order_release);
-  published_[p] = k + 1;
-  return trace_id(p, k);
+  published_ = k + 1;
+  return trace_id(k);
 }
 
-void DeliveryBook::complete(std::size_t p, std::uint64_t k, std::uint64_t matched) {
-  rings_[p][k % kRing].matched.store(static_cast<std::int64_t>(matched),
-                                     std::memory_order_release);
+void DeliveryBook::complete(std::uint64_t k, std::uint64_t matched) {
+  ring_[k % kRing].matched.store(static_cast<std::int64_t>(matched), std::memory_order_release);
 }
 
 std::optional<std::uint64_t> DeliveryBook::receive(std::uint64_t trace_id, std::uint64_t now) {
-  const std::size_t p = (trace_id & ~kTraceTag) >> kPublisherShift;
   const std::uint64_t k = publish_index(trace_id);
-  if ((trace_id & kTraceTag) == 0 || p >= rings_.size()) {
-    stale.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  Slot& slot = rings_[p][k % kRing];
-  if (slot.seq.load(std::memory_order_acquire) != k) {
+  Slot& slot = ring_[k % kRing];
+  if ((trace_id & kTraceTag) == 0 || slot.seq.load(std::memory_order_acquire) != k) {
     stale.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
@@ -315,12 +283,14 @@ std::optional<std::uint64_t> DeliveryBook::receive(std::uint64_t trace_id, std::
   return now > sent ? now - sent : 0;
 }
 
+void DeliveryBook::await(std::uint64_t k, std::uint64_t deadline_ns) const {
+  const Slot& slot = ring_[k % kRing];
+  while (!received_all(slot) && now_ns() < deadline_ns) std::this_thread::yield();
+}
+
 void DeliveryBook::finish(std::uint64_t deadline_ns) {
-  for (std::size_t p = 0; p < rings_.size(); ++p) {
-    const std::uint64_t n = published_[p];
-    for (std::uint64_t k = n > kRing ? n - kRing : 0; k < n; ++k) {
-      settle(rings_[p][k % kRing], deadline_ns);
-    }
+  for (std::uint64_t k = published_ > kRing ? published_ - kRing : 0; k < published_; ++k) {
+    settle(ring_[k % kRing], deadline_ns);
   }
 }
 

@@ -12,6 +12,14 @@
 // recorder's spans have whole-microsecond resolution; their percentiles
 // interpolate within the microsecond.
 //
+// Every replayed publish is head-sampled, and the server records one ring
+// entry per sampled notification beside the facade's entry, so dbspd's
+// 256-entry ring would lose the facade entry of exactly the events with
+// the most fan-out. The traced system's ring therefore holds more entries
+// than the whole population could notify for one event, and the replay
+// waits for each publish's notifications before it reads the ring; an
+// event whose entry is still missing fails the run (trace_gaps).
+//
 // Two facade twins, built with dbspd's options from the server's current
 // trees (read back through NetServer::pubsub(), so pruned trees stay
 // pruned), price the obs layer: PubSub::publish as shipped against one with
@@ -21,6 +29,7 @@
 // PubSubs (one durable, one in memory).
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -261,8 +270,10 @@ void write_spans(const std::string& path, const std::vector<Span>& spans) {
 
 RunResult run_traced(const WorkloadSpec& spec, const Inputs& inputs, const RunOptions& options) {
   RunResult result;
-  std::unique_ptr<Sut> sut = set_up(spec, inputs, options.tmp_dir + "/store");
+  const std::size_t ring = std::bit_ceil(spec.subscriptions + spec.churn_population + 64);
+  std::unique_ptr<Sut> sut = set_up(spec, inputs, options.tmp_dir + "/store", ring);
   dbsp::PubSub& system = sut->pubsub();
+  result.trace_ring = system.trace_recorder()->capacity();
   const dbsp::Schema& schema = inputs.domain->schema();
 
   dbsp::PubSubOptions off = daemon_pubsub_options(spec.pruning);
@@ -278,7 +289,7 @@ RunResult run_traced(const WorkloadSpec& spec, const Inputs& inputs, const RunOp
 
   // Receivers: every subscriber connection, plus the churn connection
   // (idle here, but its subscriptions still receive notifications).
-  DeliveryBook book(1);
+  DeliveryBook book;
   std::vector<Receiver> receivers(spec.subscriber_conns + (spec.churn ? 1 : 0));
   std::atomic<bool> rx_stop{false};
   std::vector<std::thread> rx_threads;
@@ -296,14 +307,14 @@ RunResult run_traced(const WorkloadSpec& spec, const Inputs& inputs, const RunOp
   const dbsp::CountingMatcher::Counters work0 = twin_on.pubsub.counters();
   const dbsp::net::NetStats before = sut->server->stats();
   dbsp::obs::FlightRecorder& recorder = *system.trace_recorder();
-  dbsp::net::DbspClient& client = sut->publishers[0];
+  dbsp::net::DbspClient& client = *sut->publisher;
 
   std::vector<Span> spans;
   spans.reserve(n * (shards + 5));
   std::vector<double> net_ns(n), on_ns(n), off_ns(n);
   std::vector<double> filter_us, core_us, core_self_us, api_us, api_self_us, skew, net_self_ns;
   double shard_total_us = 0;
-  std::uint64_t trace_gaps = 0;
+  double shard_increments = 0;  ///< the system's own, over the same events
   std::vector<OracleSample> samples;
   for (std::uint32_t i = 0; i < n; ++i) {
     const dbsp::Event& event = inputs.events[i % inputs.events.size()];
@@ -327,26 +338,27 @@ RunResult run_traced(const WorkloadSpec& spec, const Inputs& inputs, const RunOp
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::system_clock::now().time_since_epoch())
             .count());
+    const std::uint64_t increments0 = system.counters().counter_increments;
     const std::uint64_t sent = now_ns();
     dbsp::obs::TraceContext context;
-    context.trace_id = book.begin(0, i, sent);
+    context.trace_id = book.begin(i, sent);
     context.sampled = true;
     auto matched = client.publish(event, context);
     spans.push_back({i, "net", "", 0, sent, now_ns()});
     net_ns[i] = static_cast<double>(spans.back().end_ns - sent);
-    book.complete(0, i, matched.ok() ? matched.value() : 0);
+    book.complete(i, matched.ok() ? matched.value() : 0);
+    book.await(i, now_ns() + 10'000'000'000ULL);
+    const std::uint64_t increments1 = system.counters().counter_increments;
     if (!matched.ok()) ++result.failures.verb_errors;
     if (i % spec.oracle_every == 0) samples.push_back({context.trace_id, &event});
     if (on_matches != off_matches || !matched.ok() || matched.value() != on_matches) {
       ++result.failures.layer_mismatches;
     }
 
-    // The server recorded the facade's entry before it replied. The ring
-    // is bounded, and the notifications' delivery entries share it, so an
-    // entry can be gone already; such an event has no inner-layer times.
+    // The server recorded the facade's entry before it replied.
     const InnerSpans s = find_inner(recorder, context.trace_id);
     if (!s.found || s.shards.size() != shards) {
-      ++trace_gaps;
+      ++result.failures.trace_gaps;
       continue;
     }
     const std::uint64_t base =
@@ -369,6 +381,7 @@ RunResult run_traced(const WorkloadSpec& spec, const Inputs& inputs, const RunOp
     recorded("core", "api", 0, s.match_start_us, s.match_us);
     recorded("api", "net", 0, 0, s.facade_us);
     shard_total_us += sum;
+    shard_increments += static_cast<double>(increments1 - increments0);
     core_us.push_back(s.match_us);
     core_self_us.push_back(s.match_us - sum);
     api_us.push_back(s.facade_us);
@@ -437,8 +450,9 @@ RunResult run_traced(const WorkloadSpec& spec, const Inputs& inputs, const RunOp
   m.add("filter.match_yield",
         evaluations == 0 ? 0.0 : delta(work0.matches, work1.matches) / evaluations, "ratio",
         work1.tree_evaluations - work0.tree_evaluations);
-  m.add("filter.ns_per_increment", increments == 0 ? 0.0 : shard_total_us * 1000.0 / increments,
-        "ns", work1.counter_increments - work0.counter_increments);
+  m.add("filter.ns_per_increment",
+        shard_increments == 0 ? 0.0 : shard_total_us * 1000.0 / shard_increments, "ns",
+        static_cast<std::uint64_t>(shard_increments));
   m.add("filter.associations", static_cast<double>(system.association_count()), "count");
   m.add_span_us("core.match_us_p50", core_us, 0.5);
   m.add_span_us("core.match_us_p99", core_us, 0.99);
@@ -470,7 +484,6 @@ RunResult run_traced(const WorkloadSpec& spec, const Inputs& inputs, const RunOp
                  {"shards", static_cast<double>(shards)},
                  {"subscriptions", static_cast<double>(twin_on.handles.size())},
                  {"oracle_checked", static_cast<double>(oracle.checked)},
-                 {"trace_gaps", static_cast<double>(trace_gaps)},
                  {"side_trees", static_cast<double>(spec.side_trees)}};
   write_spans(options.spans_path, spans);
   return result;

@@ -18,7 +18,9 @@ the traced run also writes its spans there as a CSV file.
 
 `report` prints each metric's median and quartiles over the records in DIR;
 `compare` prints, per workload and metric, both sides' median and quartiles
-and a verdict against the bounds in BENCHMARK.json.
+and a verdict against the bounds in BENCHMARK.json. A rate taken from the
+faster half of a run's time slices is also judged on its whole-window twin
+(WINDOW_TWINS): when the whole-window figure is worse, so is the verdict.
 """
 
 import argparse
@@ -37,6 +39,8 @@ ROOT = HERE.parent
 BUILD_DIR = ROOT / ".bench_build" / "perfbench"
 BINARY = BUILD_DIR / "dbsp_loadgen"
 RUN_TIMEOUT_S = 170
+# Faster-half rate -> the same rate over the whole measured window.
+WINDOW_TWINS = {"publish_eps": "publish_eps_window"}
 
 
 def log(*args):
@@ -231,6 +235,8 @@ def metric_specs():
     specs = {}
     for m in contract["end_to_end"]:
         specs[m["name"]] = (m["better"], m["bound"])
+        if m["name"] in WINDOW_TWINS:
+            specs[WINDOW_TWINS[m["name"]]] = (m["better"], m["bound"])
     for m in contract["per_layer"]:
         specs[m["name"]] = (m["better"], None)
     return specs
@@ -278,8 +284,19 @@ def compare(dir_a, dir_b):
             delta = (qb[1] - qa[1]) / abs(qa[1]) if qa[1] else float("nan")
             print(f"{workload} {name}: {fmt(qa[1])} [{fmt(qa[0])}, {fmt(qa[2])}] | "
                   f"{fmt(qb[1])} [{fmt(qb[0])}, {fmt(qb[2])}] | {delta:+.1%} | "
-                  f"{verdict(a, b, better, bound)}")
+                  f"{judge(a_groups[key], b_groups[key], name, better, bound)}")
     return 0
+
+
+def judge(a_metrics, b_metrics, name, better, bound):
+    """The verdict on `name`; a faster-half rate is worse whenever its
+    whole-window twin is worse, even if the faster half is not."""
+    result = verdict(a_metrics[name], b_metrics[name], better, bound)
+    twin = WINDOW_TWINS.get(name)
+    if twin in a_metrics and twin in b_metrics and result != "worse":
+        if verdict(a_metrics[twin], b_metrics[twin], better, bound) == "worse":
+            return "worse (whole window)"
+    return result
 
 
 def main(argv):
