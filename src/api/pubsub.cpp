@@ -774,41 +774,35 @@ Status PubSub::train(std::span<const Event> sample) {
 namespace {
 
 /// Runs a pruning pass and logs one kPrune record (current full tree) per
-/// applied pruning, discovered through the per-shard history deltas. On an
-/// append failure the prunings stay applied (they cannot be unwound), the
-/// store fail-stops at its pre-pass state — the recovered trees are then
-/// simply one generation behind — and the error is reported.
+/// applied pruning, discovered through the per-shard history logs (which
+/// ShardedPruningSet empties as each pass starts, so they hold exactly
+/// this pass). On an append failure the prunings stay applied (they cannot
+/// be unwound), the store fail-stops at its pre-pass state — the recovered
+/// trees are then simply one generation behind — and the error is reported.
 template <class Fn>
 Result<std::size_t> logged_prune(PubSubCore& c, Fn&& fn) DBSP_REQUIRES(c.mutex) {
-  // The aggregator also walks the history deltas: the per-shard pruning
+  // The aggregator also walks the pass's prunings: the per-shard pruning
   // engines reindex their counting matchers directly (bypassing the
   // ShardedEngine forwarding), so pruned trees must be re-joined into
   // their subgroup summaries here to keep the probe stage sound.
-  const bool track = c.store != nullptr || c.aggregator.has_value();
-  std::vector<std::size_t> history_before;
-  if (track) {
-    history_before.resize(c.pruning->shard_count());
-    for (std::size_t i = 0; i < c.pruning->shard_count(); ++i) {
-      history_before[i] = c.pruning->shard(i).history().size();
-    }
-  }
   const std::size_t done = std::forward<Fn>(fn)();
-  if (track && done > 0) {
-    for (std::size_t i = 0; i < c.pruning->shard_count(); ++i) {
-      const auto& history = c.pruning->shard(i).history();
-      for (std::size_t j = history_before[i]; j < history.size(); ++j) {
-        const SubscriptionId id = history[j].sub;
-        const auto it = c.subs.find(id.value());
-        if (it == c.subs.end()) continue;  // released since; nothing to log
-        if (c.aggregator) c.aggregator->refresh(*it->second.sub);
-        if (c.store) {
-          const Status logged = c.log_to_store([&](store::StateStore& s) {
-            s.append_prune(id, it->second.sub->root());
-          });
-          if (!logged.ok()) return logged;
-        }
+  Status logged;
+  for (std::size_t i = 0; i < c.pruning->shard_count(); ++i) {
+    for (const PruningEngine::Applied& applied : c.pruning->shard(i).history()) {
+      const auto it = c.subs.find(applied.sub.value());
+      if (it == c.subs.end()) continue;  // released since; nothing to log
+      if (c.aggregator) c.aggregator->refresh(*it->second.sub);
+      // A failed append detaches the store, so the rest of the pass still
+      // refreshes the aggregator but logs nothing more.
+      if (c.store) {
+        logged = c.log_to_store([&](store::StateStore& s) {
+          s.append_prune(applied.sub, it->second.sub->root());
+        });
       }
     }
+  }
+  if (!logged.ok()) return logged;
+  if (done > 0) {
     const Status snapped = c.maybe_checkpoint();
     if (!snapped.ok()) return snapped;
   }

@@ -169,7 +169,11 @@ class PruningEngine {
     PruneScores scores;
   };
   /// Chronological log of applied prunings (drives the ablation benches).
+  /// It grows by one entry per pruning until clear_history().
   [[nodiscard]] const std::vector<Applied>& history() const { return history_; }
+  /// Empties the log. A long-running owner that reads only each pass's
+  /// prunings drains it after every pass, so the log stays bounded.
+  void clear_history() { history_.clear(); }
 
   [[nodiscard]] const OriginalProfile* original_profile(SubscriptionId id) const;
   [[nodiscard]] const PruneEngineConfig& config() const { return config_; }

@@ -42,7 +42,12 @@ std::size_t ShardedPruningSet::subscription_count() const {
   return total;
 }
 
+void ShardedPruningSet::clear_histories() {
+  for (const auto& shard : shards_) shard->clear_history();
+}
+
 std::size_t ShardedPruningSet::prune(std::size_t k) {
+  clear_histories();
   std::size_t done = 0;
   while (done < k) {
     PruningEngine* best = nullptr;
@@ -61,6 +66,7 @@ std::size_t ShardedPruningSet::prune(std::size_t k) {
 }
 
 std::size_t ShardedPruningSet::prune_to_fraction(double fraction) {
+  clear_histories();
   std::size_t done = 0;
   for (const auto& shard : shards_) {
     const auto target = static_cast<std::size_t>(

@@ -60,6 +60,10 @@ class ShardedPruningSet {
   void restore_accounting(SubscriptionId id, std::size_t capacity,
                           std::size_t performed);
 
+  /// Pruning passes. Each pass first empties every shard's history(), so
+  /// after it the shards' logs hold exactly that pass's prunings — the
+  /// delta an owner logs or re-indexes — and never more than one pass.
+
   /// Performs up to `k` prunings, always picking the shard whose pending
   /// best candidate rates best on the primary dimension — the closest
   /// approximation of the paper's single global queue that keeps all index
@@ -95,6 +99,9 @@ class ShardedPruningSet {
   }
 
  private:
+  /// Empties every shard's pruning log; the start of every pass.
+  void clear_histories();
+
   ShardedEngine* engine_;
   std::vector<std::unique_ptr<PruningEngine>> shards_;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
+#include <future>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -56,6 +58,7 @@ ShardedEngine::ShardedEngine(const Schema& schema, ShardedEngineOptions options)
     }
   }
   batch_scratch_.resize(shards_.size());
+  shard_rows_.resize(shards_.size());
 }
 
 std::size_t ShardedEngine::shard_of(SubscriptionId id) const {
@@ -150,6 +153,35 @@ bool ShardedEngine::use_aggregated_path() const {
          aggregated_budget() >= aggregator_->subgroup_slots();
 }
 
+ThreadPool& ShardedEngine::pool() {
+  if (!pool_) pool_ = std::make_unique<ThreadPool>(shards_.size() - 1);
+  return *pool_;
+}
+
+template <class Task>
+void ShardedEngine::fork_join(std::size_t tasks, bool parallel, Task& task) {
+  if (!parallel || tasks <= 1) {
+    for (std::size_t t = 0; t < tasks; ++t) task(t);
+    return;
+  }
+  // Reserved up front, so no submitted task's future can be lost to a
+  // throwing reallocation.
+  std::vector<std::future<void>> futures;
+  futures.reserve(tasks - 1);
+  std::exception_ptr error;
+  try {
+    for (std::size_t t = 1; t < tasks; ++t) {
+      futures.push_back(pool().submit([&task, t] { task(t); }));
+    }
+    task(0);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  for (auto& f : futures) f.wait();
+  if (error) std::rethrow_exception(error);
+  for (auto& f : futures) f.get();
+}
+
 void ShardedEngine::match(const Event& event, std::vector<SubscriptionId>& out,
                           obs::TraceBuilder* trace) {
   const auto base = static_cast<std::ptrdiff_t>(out.size());
@@ -171,20 +203,37 @@ void ShardedEngine::match(const Event& event, std::vector<SubscriptionId>& out,
       fallback.emplace(trace, obs::TraceStage::kAggFallback,
                        /*detailed_only=*/true);
     }
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      obs::PhaseTimer timer(shard_hist(shard_match_us_, s));
-      obs::ScopedSpan span(trace, obs::TraceStage::kShardMatch,
-                           /*detailed_only=*/true);
-      span.set_detail(s);
-      match_shard(s, event, out);
-    }
+    match_all_shards(event, out, trace);
   }
   std::sort(out.begin() + base, out.end());
 }
 
-ThreadPool& ShardedEngine::pool() {
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(shards_.size() - 1);
-  return *pool_;
+void ShardedEngine::match_all_shards(const Event& event,
+                                     std::vector<SubscriptionId>& out,
+                                     obs::TraceBuilder* trace) {
+  // Per-shard spans are detailed (head-sampled traces only), exactly as a
+  // detailed_only ScopedSpan would record them.
+  const bool stamp = trace != nullptr && trace->active() && trace->sampled();
+  const bool parallel =
+      subscription_count() >= kFanOutSubscriptionsPerShard * shards_.size();
+  auto run_shard = [&](std::size_t s) {
+    obs::PhaseTimer timer(shard_hist(shard_match_us_, s));
+    ShardRow& row = shard_rows_[s];
+    std::vector<SubscriptionId>& ids = parallel ? row.ids : out;
+    if (parallel) ids.clear();
+    if (stamp) row.start_us = trace->elapsed_us();
+    match_shard(s, event, ids);
+    if (stamp) row.duration_us = trace->elapsed_us() - row.start_us;
+  };
+  fork_join(shards_.size(), parallel, run_shard);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const ShardRow& row = shard_rows_[s];
+    if (parallel) out.insert(out.end(), row.ids.begin(), row.ids.end());
+    if (stamp) {
+      trace->add_span(obs::TraceStage::kShardMatch, row.start_us,
+                      row.duration_us, /*detail=*/s);
+    }
+  }
 }
 
 void ShardedEngine::match_batch_aggregated(
@@ -213,24 +262,7 @@ void ShardedEngine::match_batch_aggregated(
       }
     }
   };
-  if (workers <= 1) {
-    run_chunk(0);
-  } else {
-    std::vector<std::future<void>> futures;
-    futures.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) {
-      futures.push_back(pool().submit([&run_chunk, w] { run_chunk(w); }));
-    }
-    std::exception_ptr error;
-    try {
-      run_chunk(0);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    for (auto& f : futures) f.wait();
-    if (error) std::rethrow_exception(error);
-    for (auto& f : futures) f.get();
-  }
+  fork_join(workers, /*parallel=*/true, run_chunk);
 
   std::vector<std::size_t> rest;
   for (std::size_t e = 0; e < events.size(); ++e) {
@@ -259,27 +291,17 @@ void ShardedEngine::match_batch(std::span<const Event> events,
 void ShardedEngine::match_batch_sharded(
     std::span<const Event> events, std::vector<std::vector<SubscriptionId>>& out) {
   out.resize(events.size());
-  if (shards_.size() == 1) {
-    obs::PhaseTimer timer(shard_hist(shard_match_us_, 0));
-    if (auto* hist = shard_hist(shard_batch_events_, 0)) {
-      hist->record(static_cast<double>(events.size()));
-    }
-    for (std::size_t e = 0; e < events.size(); ++e) {
-      out[e].clear();
-      match_shard(0, events[e], out[e]);
-      std::sort(out[e].begin(), out[e].end());
-    }
-    return;
-  }
-
-  // Each worker records only into its own shard's series, so the fan-out
-  // stays free of cross-thread cache-line contention.
+  // One shard matches straight into `out`; more each fill their own
+  // scratch rows, merged below. Each worker records only into its own
+  // shard's series, so the fan-out stays free of cross-thread cache-line
+  // contention.
+  const bool merge = shards_.size() > 1;
   auto run_shard = [&](std::size_t s) {
     obs::PhaseTimer timer(shard_hist(shard_match_us_, s));
     if (auto* hist = shard_hist(shard_batch_events_, s)) {
       hist->record(static_cast<double>(events.size()));
     }
-    auto& rows = batch_scratch_[s];
+    auto& rows = merge ? batch_scratch_[s] : out;
     rows.resize(events.size());
     for (std::size_t e = 0; e < events.size(); ++e) {
       rows[e].clear();
@@ -287,30 +309,15 @@ void ShardedEngine::match_batch_sharded(
     }
   };
 
-  // Shards 1..N-1 on the pool, shard 0 on the calling thread.
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards_.size() - 1);
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    futures.push_back(pool().submit([&run_shard, s] { run_shard(s); }));
-  }
-  // The pool tasks reference this call's stack, so every path — including
-  // shard 0 throwing — must wait for all of them before unwinding. Only
-  // then surface the first failure.
-  std::exception_ptr error;
-  try {
-    run_shard(0);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  for (auto& f : futures) f.wait();
-  if (error) std::rethrow_exception(error);
-  for (auto& f : futures) f.get();
+  fork_join(shards_.size(), /*parallel=*/true, run_shard);
 
   for (std::size_t e = 0; e < events.size(); ++e) {
-    out[e].clear();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const auto& row = batch_scratch_[s][e];
-      out[e].insert(out[e].end(), row.begin(), row.end());
+    if (merge) {
+      out[e].clear();
+      for (std::size_t s = 0; s < shards_.size(); ++s) {
+        const auto& row = batch_scratch_[s][e];
+        out[e].insert(out[e].end(), row.begin(), row.end());
+      }
     }
     std::sort(out[e].begin(), out[e].end());
   }

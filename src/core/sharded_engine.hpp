@@ -5,6 +5,7 @@
 /// the scaling layer between the matchers (filter/) and the broker.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <variant>
@@ -80,12 +81,15 @@ struct ShardedEngineOptions {
 /// Thread safety: add/remove/reindex and the match entry points mutate
 /// engine state and must be externally serialized — one writer OR one
 /// matching call at a time (the match-vs-churn exclusion contract).
-/// Inside match_batch() the engine fans the batch out to its shards on an
-/// internal thread pool (created lazily on first use when shard_count() >
-/// 1); each worker touches only its own shard's matcher and scratch row,
-/// so no two threads ever share mutable state. Distinct ShardedEngine
-/// instances are fully independent and may be used from different threads
-/// concurrently.
+/// Inside a matching call the engine may fan the work out on an internal
+/// thread pool (shard_count() - 1 workers, created lazily on first use):
+/// match_batch() always does when shard_count() > 1, and match() does once
+/// the table holds at least kFanOutSubscriptionsPerShard subscriptions per
+/// shard. Shard 0 runs on the calling thread; each worker touches only its
+/// own shard's matcher, scratch row and metrics series, so no two threads
+/// ever share mutable state, and the call returns only after every worker
+/// finished. Distinct ShardedEngine instances are fully independent and
+/// may be used from different threads concurrently.
 ///
 /// Enforcement: the engine itself carries no lock — its serializer is its
 /// owner. In the public API the owning PubSubCore declares its engine
@@ -126,8 +130,19 @@ class ShardedEngine {
   /// Associations contributed by one subscription (Counting backend only).
   [[nodiscard]] std::size_t associations_of(SubscriptionId id) const;
 
-  /// Matches one event against every shard on the calling thread and
-  /// appends the union of the shard results to `out`, sorted by id.
+  /// Single events fan out across the shards (shard 0 on the calling
+  /// thread, the rest on the internal pool) once the table averages this
+  /// many subscriptions per shard; below it every shard runs on the
+  /// caller. Set at the measured crossover: on an otherwise idle 4-vCPU
+  /// Xeon host, 4 shards fanned out beat the same 4 shards matched in turn
+  /// from 192 subscriptions per shard on, in every run, and were mixed at
+  /// 128 (bench/micro_sharded.cpp BM_ShardedFanOutCrossover). Whether a
+  /// host whose other cores are busy still gains there is not measured.
+  static constexpr std::size_t kFanOutSubscriptionsPerShard = 192;
+
+  /// Matches one event against every shard and appends the union of the
+  /// shard results to `out`, sorted by id. The shards run in parallel
+  /// from kFanOutSubscriptionsPerShard subscriptions per shard on.
   /// A non-null `trace` collects per-stage spans (aggregation probe,
   /// fallback, per-shard match) for head-sampled traces.
   void match(const Event& event, std::vector<SubscriptionId>& out,
@@ -185,7 +200,7 @@ class ShardedEngine {
   /// microseconds — per event in match(), per batch in match_batch()) and
   /// `dbsp_shard_batch_events{shard="i"}` (match_batch batch sizes). The
   /// registry must outlive the engine; recording is lock-free, so the
-  /// match_batch shard workers stay contention-free (each worker touches
+  /// shard workers stay contention-free (each worker touches
   /// only its own shard's series). Call at most once, before matching
   /// starts; without it matching records nothing.
   void attach_metrics(obs::MetricsRegistry& registry);
@@ -195,8 +210,22 @@ class ShardedEngine {
 
   /// Lazily created fan-out pool (shard_count() - 1 workers).
   ThreadPool& pool();
+  /// Runs task(0) .. task(tasks - 1): task 0 on the calling thread and the
+  /// rest on the pool when `parallel`, all on the caller otherwise. The
+  /// pool tasks reference the caller's stack, so every path — including a
+  /// task throwing — waits for all of them before the first failure is
+  /// rethrown.
+  /// A template, so the serial loop calls `task` directly and allocates
+  /// nothing.
+  template <class Task>
+  void fork_join(std::size_t tasks, bool parallel, Task& task);
   void match_shard(std::size_t shard, const Event& event,
                    std::vector<SubscriptionId>& out);
+  /// The shard stage of match(), appending to `out` (unsorted): inline,
+  /// every shard appends straight to `out`; fanned out, each shard fills
+  /// its shard_rows_ entry and the caller merges them after the join.
+  void match_all_shards(const Event& event, std::vector<SubscriptionId>& out,
+                        obs::TraceBuilder* trace);
 
   /// The shard's histogram when attach_metrics ran, else nullptr.
   [[nodiscard]] obs::Histogram* shard_hist(
@@ -231,6 +260,15 @@ class ShardedEngine {
   std::unique_ptr<ThreadPool> pool_;
   /// Per-shard result rows reused across match_batch calls.
   std::vector<std::vector<std::vector<SubscriptionId>>> batch_scratch_;
+  /// One shard's part of a single-event match: its matches and, for
+  /// head-sampled traces, its span timing (stamped by the worker, added to
+  /// the single-threaded TraceBuilder by the caller after the join).
+  struct ShardRow {
+    std::vector<SubscriptionId> ids;
+    std::uint64_t start_us = 0;
+    std::uint64_t duration_us = 0;
+  };
+  std::vector<ShardRow> shard_rows_;
   /// Per-shard series (empty until attach_metrics; then one per shard).
   std::vector<obs::Histogram*> shard_match_us_;
   std::vector<obs::Histogram*> shard_batch_events_;

@@ -2,10 +2,12 @@
 // semantics, the Status/Result error channel, and — the lifetime matrix —
 // moved-from handles, double release, handles outliving the PubSub (a
 // detectable error, never UB), and automatic pruning-state release on
-// handle drop under 1 and 8 shards.
+// handle drop under 1 and 8 shards. Also the per-shard trace spans of a
+// publish whose shards match in parallel.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -283,6 +285,73 @@ TEST_P(PubSubPruningTest, SetPruneDimensionRebuildsOverCurrentTrees) {
   EXPECT_EQ(stats.performed, 0u);  // baselines re-captured from current state
   // Queues stay functional after the rebuild.
   EXPECT_TRUE(pubsub.prune(2).ok());
+}
+
+TEST(PubSubTracingTest, FannedOutPublishRecordsOneShardSpanPerShard) {
+  // A population at the fan-out threshold: every publish matches its 4
+  // shards in parallel. A head-sampled publish still records exactly one
+  // shard_match span per shard, each inside the match span; an unsampled
+  // one records none. dbsp_shard_match_us keeps one sample per shard per
+  // publish either way.
+  constexpr std::size_t kShards = 4;
+  PubSubOptions options;
+  options.engine.shards = kShards;
+  PubSub pubsub(market_schema(), options);
+  std::vector<SubscriptionHandle> live;
+  std::size_t expected = 0;
+  for (std::size_t i = 0; i < ShardedEngine::kFanOutSubscriptionsPerShard * kShards; ++i) {
+    const std::size_t bound = i % 100;
+    if (bound > 50) ++expected;
+    live.push_back(pubsub.subscribe("price < " + std::to_string(bound)).value());
+  }
+  const Event event = tick(pubsub, "ACME", 50.0, 10);
+
+  // Unsampled first: a fresh recorder keeps it through tail admission, so
+  // its entry is there to inspect.
+  const obs::TraceContext unsampled = obs::make_trace_context(/*sampled=*/false);
+  const obs::TraceContext sampled = obs::make_trace_context(/*sampled=*/true);
+  EXPECT_EQ(pubsub.publish(event, unsampled), expected);
+  EXPECT_EQ(pubsub.publish(event, sampled), expected);
+
+  const auto entry = [&](std::uint64_t trace_id) {
+    for (const obs::Trace& t : pubsub.traces()) {
+      if (t.trace_id == trace_id) return t;
+    }
+    ADD_FAILURE() << "no trace entry for " << trace_id;
+    return obs::Trace{};
+  };
+  const auto stage_count = [](const obs::Trace& t, obs::TraceStage stage) {
+    return std::count_if(t.spans.begin(), t.spans.end(),
+                         [stage](const obs::TraceSpan& sp) { return sp.stage == stage; });
+  };
+
+  const obs::Trace quiet = entry(unsampled.trace_id);
+  EXPECT_EQ(stage_count(quiet, obs::TraceStage::kMatch), 1);
+  EXPECT_EQ(stage_count(quiet, obs::TraceStage::kShardMatch), 0);
+
+  const obs::Trace detailed = entry(sampled.trace_id);
+  ASSERT_EQ(stage_count(detailed, obs::TraceStage::kMatch), 1);
+  const obs::TraceSpan match = *std::find_if(
+      detailed.spans.begin(), detailed.spans.end(),
+      [](const obs::TraceSpan& sp) { return sp.stage == obs::TraceStage::kMatch; });
+  std::vector<std::uint64_t> shards_seen;
+  for (const obs::TraceSpan& sp : detailed.spans) {
+    if (sp.stage != obs::TraceStage::kShardMatch) continue;
+    shards_seen.push_back(sp.detail);
+    EXPECT_GE(sp.start_us, match.start_us) << "shard " << sp.detail;
+    EXPECT_LE(sp.start_us + sp.duration_us, match.start_us + match.duration_us)
+        << "shard " << sp.detail;
+  }
+  std::sort(shards_seen.begin(), shards_seen.end());
+  EXPECT_EQ(shards_seen, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+
+  const obs::MetricsSnapshot metrics = pubsub.metrics();
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    const obs::MetricSnapshot* m =
+        metrics.find("dbsp_shard_match_us", {{"shard", std::to_string(shard)}});
+    ASSERT_NE(m, nullptr) << "shard " << shard;
+    EXPECT_EQ(m->histogram.count, 2u) << "shard " << shard;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, PubSubPruningTest, ::testing::Values(1u, 8u),

@@ -1,6 +1,7 @@
 // Cross-thread interleaving stress for the concurrency contracts the
 // static-analysis layer annotates: the internally serialized PubSub facade
-// (publish vs. subscribe/unsubscribe vs. pruning maintenance), the durable
+// (publish vs. subscribe/unsubscribe vs. pruning maintenance, also with
+// single-event publishes fanned out across the shards), the durable
 // store's single-writer discipline, handle release races, and ThreadPool
 // construction/shutdown ordering.
 //
@@ -201,6 +202,90 @@ TEST(ConcurrentStress, PublishChurnAndPruneRaceCleanly) {
   // publish/publish_batch return values and the base callbacks line up.
   EXPECT_GE(pubsub.notifications_delivered(), published.load());
   EXPECT_GE(pubsub.notifications_delivered(), base_hits->load());
+}
+
+// Single-event publishes on a table at the fan-out threshold: every
+// publish runs its shards on the engine's pool, with head-sampled traces
+// stamping per-shard spans from the workers, while churn, pruning
+// maintenance and metrics/trace scrapes race it. The base population alone
+// keeps the table at the threshold, so no publish falls back to inline
+// matching.
+TEST(ConcurrentStress, FannedOutPublishesRaceChurnPruningAndScrapes) {
+  const std::size_t scale = stress_scale();
+  constexpr std::size_t kShards = 4;
+  test::MiniDomain dom(6, 20);
+  PubSub pubsub(dom.schema(), pruning_options(kShards));
+
+  std::mt19937_64 seed_rng(2027);
+  {
+    std::vector<Event> sample = dom.random_events(seed_rng, 256);
+    pubsub.train(sample).expect_ok();
+  }
+  std::vector<SubscriptionHandle> base;
+  for (std::size_t i = 0; i < ShardedEngine::kFanOutSubscriptionsPerShard * kShards; ++i) {
+    auto result = pubsub.subscribe(dom.random_tree(seed_rng, 5, 0.2));
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    base.push_back(std::move(result).value());
+  }
+
+  const std::size_t publish_rounds = 16 * scale;
+  const std::size_t churn_rounds = 32 * scale;
+  std::vector<std::thread> threads;
+
+  // Two publishers: one head-samples every publish, one never does.
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(400 + t);
+      for (std::size_t round = 0; round < publish_rounds; ++round) {
+        (void)pubsub.publish(dom.random_event(rng),
+                             obs::make_trace_context(/*sampled=*/t == 0));
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    std::mt19937_64 rng(500);
+    std::vector<SubscriptionHandle> mine;
+    for (std::size_t round = 0; round < churn_rounds; ++round) {
+      auto result = pubsub.subscribe(dom.random_tree(rng, 4, 0.1));
+      ASSERT_TRUE(result.ok()) << result.status().to_string();
+      mine.push_back(std::move(result).value());
+      if (mine.size() > 6) mine.erase(mine.begin());
+    }
+  });
+  threads.emplace_back([&] {
+    for (std::size_t round = 0; round < publish_rounds; ++round) {
+      auto pruned = pubsub.prune_to_fraction(0.8);
+      ASSERT_TRUE(pruned.ok()) << pruned.status().to_string();
+    }
+  });
+  threads.emplace_back([&] {
+    for (std::size_t round = 0; round < churn_rounds; ++round) {
+      (void)pubsub.metrics();
+      (void)pubsub.traces();
+    }
+  });
+  for (auto& thread : threads) thread.join();
+
+  EXPECT_EQ(pubsub.subscription_count(), base.size());
+  std::mt19937_64 check_rng(998);
+  for (int i = 0; i < 5; ++i) {
+    const Event probe = dom.random_event(check_rng);
+    std::size_t oracle = 0;
+    for (const SubscriptionId id : pubsub.subscription_ids()) {
+      oracle += pubsub.matches(id, probe).value() ? 1 : 0;
+    }
+    EXPECT_EQ(pubsub.publish(probe), oracle);
+  }
+  // Every sampled publish left one shard_match span per shard.
+  const auto count = [](const obs::Trace& trace, obs::TraceStage stage) {
+    return static_cast<std::size_t>(
+        std::count_if(trace.spans.begin(), trace.spans.end(),
+                      [stage](const obs::TraceSpan& sp) { return sp.stage == stage; }));
+  };
+  for (const obs::Trace& trace : pubsub.traces()) {
+    if (!trace.sampled || count(trace, obs::TraceStage::kMatch) != 1) continue;
+    EXPECT_EQ(count(trace, obs::TraceStage::kShardMatch), kShards);
+  }
 }
 
 // Handles released concurrently from many threads (disjoint slices) while a

@@ -69,6 +69,23 @@ TEST_F(EngineTest, NetworkDimensionPrunesLeastSelectiveFirst) {
   EXPECT_EQ(s1->root().to_string(schema_), "a = 1");
 }
 
+TEST_F(EngineTest, ClearHistoryDrainsTheLogOnly) {
+  auto e = engine(PruneDimension::NetworkLoad);
+  auto s1 = sub(1, "a=1 and b=2 and c=3");  // 2 prunings
+  e.register_subscription(*s1);
+  ASSERT_TRUE(e.prune_one());
+  ASSERT_EQ(e.history().size(), 1u);
+  e.clear_history();
+  EXPECT_TRUE(e.history().empty());
+  // The accounting and the queue are untouched; the log restarts with the
+  // next pruning.
+  EXPECT_EQ(e.performed(), 1u);
+  ASSERT_TRUE(e.prune_one());
+  ASSERT_EQ(e.history().size(), 1u);
+  EXPECT_EQ(e.history()[0].sub, SubscriptionId(1));
+  EXPECT_EQ(e.performed(), 2u);
+}
+
 TEST_F(EngineTest, MemoryDimensionPrunesBiggestValidSubtreeFirst) {
   auto e = engine(PruneDimension::MemoryUsage);
   auto s1 = sub(1, "a=1 and b=2");                      // small win

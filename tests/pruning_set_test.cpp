@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <random>
+#include <vector>
 
 #include "core/candidates.hpp"
 #include "selectivity/estimator.hpp"
@@ -156,6 +158,44 @@ TEST_F(PruningSetTest, HeavyChurnCompactsTheQueueWithoutRescoring) {
   // The surviving population still prunes to exhaustion correctly.
   set.prune(1u << 20);
   EXPECT_EQ(set.performed(), set.total_possible());
+}
+
+TEST_F(PruningSetTest, EachPassLeavesOnlyItsOwnPruningsInTheShardLogs) {
+  // A long churn + prune loop, as a broker or scenario soak runs it: the
+  // shard logs must hold exactly the last pass instead of growing with
+  // every pruning ever applied.
+  std::mt19937_64 rng(23);
+  Corpus corpus = make_corpus(dom_, rng, 60, 0.0, 6);
+  ShardedEngine engine(dom_.schema(), {.shards = 4});
+  for (auto& s : corpus.subs) engine.add(*s);
+  ShardedPruningSet set(engine, estimator_, config_, corpus.pointers());
+
+  std::vector<std::unique_ptr<Subscription>> added;
+  std::vector<Subscription*> live = corpus.pointers();
+  std::size_t total = 0;
+  for (std::uint32_t round = 0; round < 300; ++round) {
+    const std::size_t victim = rng() % live.size();
+    ASSERT_TRUE(set.remove(live[victim]->id()));
+    engine.remove(live[victim]->id());
+    added.push_back(std::make_unique<Subscription>(
+        SubscriptionId(1000 + round), dom_.random_tree(rng, 6)));
+    live[victim] = added.back().get();
+    engine.add(*live[victim]);
+    set.add(*live[victim]);
+
+    const std::size_t done = round % 3 == 0 ? set.prune(2) : set.prune_to_fraction(0.5);
+    total += done;
+    std::size_t logged = 0;
+    for (std::size_t sh = 0; sh < set.shard_count(); ++sh) {
+      for (const auto& applied : set.shard(sh).history()) {
+        EXPECT_TRUE(set.tracks(applied.sub));
+        EXPECT_EQ(engine.shard_of(applied.sub), sh);
+        ++logged;
+      }
+    }
+    ASSERT_EQ(logged, done) << "round " << round;
+  }
+  EXPECT_GT(total, 300u);  // the loop did prune, pass after pass
 }
 
 TEST_F(PruningSetTest, DriftTriggerCountsMutationsPerShard) {

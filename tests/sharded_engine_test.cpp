@@ -2,7 +2,8 @@
 // shard count (N = 1, 2, 8), merge order must be deterministic (sorted
 // subscriber ids), batched and single-event dispatch must agree, and the
 // engine must behave on the edge cases (empty engine, empty batch, every
-// subscription hashed into one shard). Also covers the ThreadPool itself
+// subscription hashed into one shard). Single-event dispatch is checked on
+// both sides of the fan-out threshold. Also covers the ThreadPool itself
 // and the uniform remove(id) contract of the backends.
 
 #include "core/sharded_engine.hpp"
@@ -101,6 +102,51 @@ TEST(ShardedEngineTest, BatchAgreesWithSingleEventDispatchAndIsSorted) {
   std::vector<std::vector<SubscriptionId>> again;
   engine.match_batch(events, again);
   EXPECT_EQ(batch, again);
+}
+
+TEST(ShardedEngineTest, SingleEventFanOutAgreesWithOneShardAndBatch) {
+  // match() runs the shards on the caller below kFanOutSubscriptionsPerShard
+  // subscriptions per shard and fans them out on the pool from there on.
+  // Both sides of that line, for every shard count, must give the 1-shard
+  // engine's and match_batch()'s results. Removing one subscription from a
+  // table exactly at the line moves the engine back to inline matching.
+  MiniDomain dom(5, 16);
+  const auto events = [&] {
+    std::mt19937_64 rng(505);
+    return dom.random_events(rng, 32);
+  }();
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    const std::size_t line = ShardedEngine::kFanOutSubscriptionsPerShard * shards;
+    std::mt19937_64 rng(606 + shards);
+    const Corpus corpus = make_corpus(dom, rng, line, 0.2);
+    const Corpus reference_corpus = clone_corpus(corpus);
+    ShardedEngine engine(dom.schema(), counting_options(shards));
+    ShardedEngine reference(dom.schema(), counting_options(1));
+    for (std::size_t i = 0; i < corpus.subs.size(); ++i) {
+      engine.add(*corpus.subs[i]);
+      reference.add(*reference_corpus.subs[i]);
+    }
+
+    for (const std::size_t population : {line, line - 1}) {
+      if (engine.subscription_count() > population) {
+        const SubscriptionId last = corpus.subs.back()->id();
+        engine.remove(last);
+        reference.remove(last);
+      }
+      ASSERT_EQ(engine.subscription_count(), population);
+      const auto batch = engine.match_batch(events);
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        std::vector<SubscriptionId> single;
+        std::vector<SubscriptionId> expected;
+        engine.match(events[i], single);
+        reference.match(events[i], expected);
+        ASSERT_EQ(single, expected)
+            << shards << " shards, " << population << " subscriptions, event " << i;
+        ASSERT_EQ(single, batch[i])
+            << shards << " shards, " << population << " subscriptions, event " << i;
+      }
+    }
+  }
 }
 
 TEST(ShardedEngineTest, ConcurrentBatchesOnIndependentEnginesAgree) {

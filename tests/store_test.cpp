@@ -1,6 +1,7 @@
 // Durable state store: WAL/snapshot round-trips, PubSub::open() recovery
 // exactness (the crash-equivalence contract, asserted at shards {1, 8}),
-// pruning accounting continuity, checkpoint truncation, statistics
+// pruning accounting continuity (also through a long churn + prune loop
+// with aggregation on), checkpoint truncation, statistics
 // persistence, adopt() semantics, broker warm restart, and the
 // ScenarioRunner kill-and-recover phase.
 
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -369,6 +371,85 @@ TEST(PubSubOpenTest, PruneTrainAndAccountingSurviveCrash) {
   for (const Event& e : probes) {
     EXPECT_EQ(probe(*pubsub, sink, e), oracle_matches(*pubsub, e));
   }
+  pubsub.reset();
+  live.clear();
+}
+
+TEST(PubSubOpenTest, ChurnAndPruneLoopWithAggregationStaysExactAcrossRecovery) {
+  // Each pruning pass empties the per-shard pruning logs as it starts, so
+  // they hold exactly the pass's prunings when its two consumers read them:
+  // the store (one kPrune record each) and the aggregator (a summary
+  // refresh, without which the probe would reject events the pruned trees
+  // now match). A long churn + prune loop
+  // with both on must stay oracle-exact, and recovery must reproduce the
+  // pruned trees, the accounting and the matching.
+  MiniDomain dom(6, 24);
+  std::mt19937_64 rng(71);
+  TempDir dir("drain");
+  PubSubOptions options = pruning_options(4);
+  options.aggregation = true;
+  options.engine.agg_fallback_pct = 0;  // always probe the summaries
+  const std::vector<Event> probes = dom.random_events(rng, 30);
+
+  Sink sink = std::make_shared<std::vector<SubscriptionId>>();
+  std::optional<PubSub> pubsub;
+  std::deque<SubscriptionHandle> live;
+  auto opened = PubSub::open(store_at(dir, dom.schema()), options);
+  ASSERT_TRUE(opened.ok());
+  pubsub.emplace(std::move(opened).value());
+  ASSERT_TRUE(pubsub->train(dom.random_events(rng, 400)).ok());
+
+  std::size_t pruned = 0;
+  const auto churn = [&](std::size_t rounds) {
+    for (std::size_t round = 0; round < rounds; ++round) {
+      if (live.size() >= 60) live.pop_front();  // the handle unsubscribes
+      auto handle = pubsub->subscribe(dom.random_tree(rng, 7, 0.15), collector(sink));
+      ASSERT_TRUE(handle.ok());
+      live.push_back(std::move(handle).value());
+      pruned += pubsub->prune_to_fraction(0.5).value();
+      if (round % 40 == 0) {
+        for (const Event& e : probes) {
+          ASSERT_EQ(probe(*pubsub, sink, e), oracle_matches(*pubsub, e)) << "round " << round;
+        }
+      }
+    }
+  };
+  churn(400);
+  EXPECT_GT(pruned, 200u);
+
+  const auto stats_before = pubsub->pruning_stats();
+  std::vector<std::string> texts_before;
+  for (const SubscriptionId id : pubsub->subscription_ids()) {
+    texts_before.push_back(pubsub->subscription_text(id).value());
+  }
+  std::vector<std::vector<SubscriptionId>> matched_before;
+  for (const Event& e : probes) {
+    matched_before.push_back(probe(*pubsub, sink, e));
+    EXPECT_EQ(matched_before.back(), oracle_matches(*pubsub, e));
+  }
+
+  pubsub.reset();  // crash
+  live.clear();
+  auto reopened = PubSub::open(store_at(dir, dom.schema()), options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().to_string();
+  pubsub.emplace(std::move(reopened).value());
+
+  std::vector<std::string> texts_after;
+  for (const SubscriptionId id : pubsub->subscription_ids()) {
+    texts_after.push_back(pubsub->subscription_text(id).value());
+  }
+  EXPECT_EQ(texts_after, texts_before);
+  const auto stats_after = pubsub->pruning_stats();
+  EXPECT_EQ(stats_after.performed, stats_before.performed);
+  EXPECT_EQ(stats_after.total_possible, stats_before.total_possible);
+  EXPECT_EQ(stats_after.tracked, stats_before.tracked);
+  for (auto& handle : adopt_all(*pubsub, sink)) live.push_back(std::move(handle));
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(probe(*pubsub, sink, probes[i]), matched_before[i]) << "probe " << i;
+  }
+
+  // The recovered system keeps churning and pruning exactly.
+  churn(81);
   pubsub.reset();
   live.clear();
 }
